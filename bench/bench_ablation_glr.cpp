@@ -1,10 +1,9 @@
 /// Ablation bench for GLR's design choices (DESIGN.md §6) plus extension
 /// baselines. Columns: delivery ratio, latency, hops, avg peak storage.
 /// Rows:
-///   * full GLR (Algorithm 1 copies, witness LDTG, face routing, custody)
+///   * full GLR (Algorithm 1 copies, local LDTG star, face routing, custody)
 ///   * copies fixed to 1 / 3 / 5 (vs Algorithm 1's choice)
 ///   * face routing disabled
-///   * LDel rule (no witness vetoes)
 ///   * custody disabled
 ///   * baselines: epidemic, direct delivery, binary spray-and-wait
 
@@ -34,8 +33,6 @@ int main() {
        [](ScenarioConfig& c) { c.copiesOverride = 5; }},
       {"GLR no face routing  ",
        [](ScenarioConfig& c) { c.faceRouting = false; }},
-      {"GLR LDel (no witness)",
-       [](ScenarioConfig& c) { c.witnessRule = false; }},
       {"GLR no custody       ", [](ScenarioConfig& c) { c.custody = false; }},
       {"Epidemic             ",
        [](ScenarioConfig& c) { c.protocol = Protocol::kEpidemic; }},

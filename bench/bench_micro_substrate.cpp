@@ -93,7 +93,7 @@ void BM_LocalSpannerNeighbors(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        glr::spanner::localSpannerNeighbors(0, pts[0], known, 300.0, true));
+        glr::spanner::localSpannerNeighbors(0, pts[0], known, 300.0));
   }
 }
 BENCHMARK(BM_LocalSpannerNeighbors);

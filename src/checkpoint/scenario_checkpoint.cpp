@@ -109,7 +109,7 @@ void requireAgreement(bool componentPresent, bool sectionPresent,
 
 std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   Encoder e;
-  e.u16(1);  // digest schema version
+  e.u16(2);  // digest schema version
   e.i32(static_cast<std::int32_t>(cfg.protocol));
   e.i32(cfg.numNodes);
   e.f64(cfg.areaWidth);
@@ -139,7 +139,6 @@ std::uint64_t configDigest(const experiment::ScenarioConfig& cfg) {
   e.f64(cfg.checkInterval);
   e.boolean(cfg.custody);
   e.boolean(cfg.faceRouting);
-  e.boolean(cfg.witnessRule);
   e.i32(cfg.copiesOverride);
   e.i32(static_cast<std::int32_t>(cfg.locationMode));
   e.f64(cfg.helloInterval);

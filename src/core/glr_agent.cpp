@@ -202,7 +202,7 @@ void GlrAgent::checkRoutes() {
   // Local LDTG star: computed once per check from beacon knowledge.
   const auto knowledge = neighbors_.knowledge();
   const auto spannerIds = spanner::localSpannerNeighbors(
-      self_, self, knowledge, params_->network.radius, params_->witnessRule);
+      self_, self, knowledge, params_->network.radius);
   std::vector<std::pair<int, geom::Point2>> spannerNbrs;
   spannerNbrs.reserve(spannerIds.size());
   const double sendRange = params_->sendRangeGuard * params_->network.radius;

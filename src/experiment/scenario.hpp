@@ -127,6 +127,8 @@ struct ScenarioConfig {
   double checkInterval = 0.9;
   bool custody = true;
   bool faceRouting = true;
+  // Ignored: the local spanner has a single rule (see spanner/ldtg.hpp).
+  // Kept only because the perfbench replay still reads it.
   bool witnessRule = true;
   int copiesOverride = -1;  // -1: Algorithm 1 decides
   core::LocationMode locationMode = core::LocationMode::kSourceKnows;

@@ -7,8 +7,8 @@
 /// deterministically. Duplicates are merged onto their first occurrence.
 ///
 /// The triangulation is the basis for the localized Delaunay spanner (LDTG)
-/// of the paper: each node triangulates its k-hop neighborhood and keeps the
-/// edges that all local witnesses agree on.
+/// of the paper: each node triangulates its k-hop neighborhood and keeps its
+/// incident Delaunay edges to direct neighbors in range.
 
 #include <array>
 #include <cstdint>
@@ -30,9 +30,9 @@ class Delaunay {
   static Delaunay build(const std::vector<Point2>& points);
 
   /// build() into an existing object, reusing its storage. The GLR route
-  /// check triangulates ~10 small neighborhoods per invocation and discards
-  /// each result immediately; rebuilding into one scratch object (plus the
-  /// thread-local builder scratch inside) makes the steady-state spanner
+  /// check triangulates one small neighborhood per spanner memo miss and
+  /// discards the result at once; rebuilding into one scratch object (plus
+  /// the thread-local builder scratch inside) makes the steady-state spanner
   /// path allocation-free. Produces exactly what build() produces.
   static void buildInto(Delaunay& out, const std::vector<Point2>& points);
 

@@ -259,7 +259,7 @@ TEST(Checkpoint, VersionMismatchRefused) {
   resumed.checkpointPath.clear();
   resumed.restoreFrom = path;
   try {
-    runScenario(resumed);
+    (void)runScenario(resumed);
     FAIL() << "version mismatch not detected";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find("version"), std::string::npos)
@@ -278,7 +278,7 @@ TEST(Checkpoint, DifferentConfigRefused) {
   other.restoreFrom = path;
   other.seed = cfg.seed + 1;  // any digested field: refuse
   try {
-    runScenario(other);
+    (void)runScenario(other);
     FAIL() << "config digest mismatch not detected";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find("different configuration"),

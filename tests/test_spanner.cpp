@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "geometry/delaunay.hpp"
@@ -260,6 +263,10 @@ TEST(Ldtg, LDelRuleKeepsAtLeastWitnessEdges) {
   for (const auto& [u, v] : witness.edges()) {
     EXPECT_TRUE(ldel.hasEdge(u, v));
   }
+  // The subset is strict on this seed: a witness whose true 2-hop set holds
+  // a point neither endpoint sees vetoes one LDel edge. This is the global
+  // oracle's only difference from the local star, so it must stay live.
+  EXPECT_LT(witness.numEdges(), ldel.numEdges());
 }
 
 TEST(Ldtg, DenseNetworkEqualsDelaunayRestriction) {
@@ -287,8 +294,7 @@ TEST(LocalSpanner, MatchesGlobalViewWhenKnowledgeComplete) {
       if (v == u) continue;
       known.push_back({v, pts[v], dist(pts[u], pts[v]) <= r});
     }
-    const auto nbrs =
-        localSpannerNeighbors(u, pts[u], known, r, /*applyWitnessRule=*/false);
+    const auto nbrs = localSpannerNeighbors(u, pts[u], known, r);
     std::vector<int> want = global.neighbors(u);
     std::sort(want.begin(), want.end());
     EXPECT_EQ(nbrs, want) << "node " << u;
@@ -307,20 +313,22 @@ TEST(LocalSpanner, TwoNodesConnectIfInRange) {
   EXPECT_TRUE(localSpannerNeighbors(0, {0, 0}, far, 100.0).empty());
 }
 
-TEST(LocalSpanner, WitnessVetoesCrossingEdge) {
-  // Four nodes in convex position where the long diagonal is not locally
-  // Delaunay: the witness rule must drop it while keeping short edges.
+TEST(LocalSpanner, LongDiagonalOutsideLocalDelaunayIsDropped) {
+  // Four nodes in convex position, all in range of self: the circumcircle
+  // of (self, 2, 3) excludes node 1, so DT(S) uses the short diagonal 2-3
+  // and the long diagonal self-1 is not a candidate at all.
   const Point2 self{0, 0};
   const std::vector<KnownNode> known{
-      {1, {100, 5}, true},     // across: candidate long edge
-      {2, {50, 40}, true},     // witness above
-      {3, {50, -40}, true},    // witness below
+      {1, {100, 5}, true},   // across: the long diagonal
+      {2, {50, 40}, true},   // above
+      {3, {50, -40}, true},  // below
   };
-  const auto nbrs = localSpannerNeighbors(0, self, known, 120.0, true);
-  // Edge to 1 should be vetoed (2 and 3's circumcircles cover it); edges to
-  // the witnesses survive.
-  EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), 2) != nbrs.end());
-  EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), 3) != nbrs.end());
+  const auto dt = glr::geom::Delaunay::build(
+      {self, known[0].pos, known[1].pos, known[2].pos});
+  EXPECT_FALSE(dt.hasEdge(0, 1));
+  EXPECT_TRUE(dt.hasEdge(2, 3));
+  EXPECT_EQ(localSpannerNeighbors(0, self, known, 120.0),
+            (std::vector<int>{2, 3}));
 }
 
 TEST(LocalSpanner, LocalViewIsPlanar) {
@@ -336,11 +344,158 @@ TEST(LocalSpanner, LocalViewIsPlanar) {
     for (int v : twoHop) {
       known.push_back({v, pts[v], udg.hasEdge(u, v)});
     }
-    for (int v : localSpannerNeighbors(u, pts[u], known, r, true)) {
+    for (int v : localSpannerNeighbors(u, pts[u], known, r)) {
       combined.addEdge(u, v);
     }
   }
   EXPECT_TRUE(isPlanarEmbedding(combined, pts));
+}
+
+// Subset stability of the Delaunay builder, the fact the local star rests
+// on: every witness view a node could triangulate is a subset of its own
+// view S, so an edge it keeps from DT(S) must survive in DT(S ∩ disk(w, r))
+// for every 1-hop witness w within r of both endpoints. Checked with the
+// real builder, so a tie-rule change that breaks it (co-circular, collinear
+// and duplicate inputs are where it could) fails here. Returns the number of
+// (edge, witness) pairs checked.
+int checkWitnessSubsetsKeepStar(const std::vector<Point2>& pts, double r) {
+  const Graph udg = buildUnitDiskGraph(pts, r);
+  const double r2 = r * r;
+  int checked = 0;
+  for (int u = 0; u < static_cast<int>(pts.size()); ++u) {
+    // S in the order localSpannerNeighbors assembles it: self, then known.
+    std::vector<KnownNode> known;
+    std::vector<int> ids{u};
+    for (int v : kHopNeighbors(udg, u, 2)) {
+      known.push_back({v, pts[v], udg.hasEdge(u, v)});
+      ids.push_back(v);
+    }
+    for (int v : localSpannerNeighbors(u, pts[u], known, r)) {
+      for (std::size_t wi = 1; wi < ids.size(); ++wi) {
+        const int w = ids[wi];
+        if (w == v || !udg.hasEdge(u, w)) continue;
+        if (glr::geom::dist2(pts[w], pts[u]) > r2 ||
+            glr::geom::dist2(pts[w], pts[v]) > r2) {
+          continue;
+        }
+        std::vector<Point2> sub;
+        int uLocal = -1;
+        int vLocal = -1;
+        for (int x : ids) {
+          if (glr::geom::dist2(pts[x], pts[w]) > r2) continue;
+          if (x == u) uLocal = static_cast<int>(sub.size());
+          if (x == v) vLocal = static_cast<int>(sub.size());
+          sub.push_back(pts[x]);
+        }
+        const auto dt = glr::geom::Delaunay::build(sub);
+        EXPECT_TRUE(dt.hasEdge(dt.canonicalIndex(uLocal),
+                               dt.canonicalIndex(vLocal)))
+            << "edge " << u << "-" << v << " lost in witness " << w
+            << "'s view, r=" << r;
+        ++checked;
+      }
+    }
+  }
+  return checked;
+}
+
+TEST(LocalSpannerSubsetStability, RandomPoints) {
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto pts = randomPoints(seed * 13, 40, 500, 500);
+    for (const double r : {120.0, 200.0}) {
+      checked += checkWitnessSubsetsKeepStar(pts, r);
+    }
+  }
+  EXPECT_GT(checked, 1000);
+}
+
+TEST(LocalSpannerSubsetStability, SquareAndRectangularLattices) {
+  // Every lattice cell is a co-circular quadruple.
+  const auto lattice = [](int cols, int rows, double dx, double dy) {
+    std::vector<Point2> pts;
+    for (int i = 0; i < cols; ++i) {
+      for (int j = 0; j < rows; ++j) pts.push_back({i * dx, j * dy});
+    }
+    return pts;
+  };
+  int checked = 0;
+  for (const double r : {75.0, 110.0, 160.0}) {
+    checked += checkWitnessSubsetsKeepStar(lattice(7, 7, 50, 50), r);
+  }
+  for (const double r : {55.0, 90.0}) {
+    checked += checkWitnessSubsetsKeepStar(lattice(8, 6, 40, 30), r);
+  }
+  EXPECT_GT(checked, 1000);
+}
+
+TEST(LocalSpannerSubsetStability, ManhattanCollinearStreets) {
+  // Nodes on a 4x4 street grid at integer offsets: long collinear runs
+  // along each street, crossing at the intersections.
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    glr::sim::Rng rng{seed};
+    std::vector<Point2> pts;
+    for (int i = 0; i < 45; ++i) {
+      const double street = 100.0 * std::floor(rng.uniform(0, 4));
+      const double along = std::floor(rng.uniform(0, 301));
+      if (rng.uniform(0, 1) < 0.5) {
+        pts.push_back({street, along});
+      } else {
+        pts.push_back({along, street});
+      }
+    }
+    for (const double r : {90.0, 150.0}) {
+      checked += checkWitnessSubsetsKeepStar(pts, r);
+    }
+  }
+  EXPECT_GT(checked, 1000);
+}
+
+TEST(LocalSpannerSubsetStability, CoCircularPolygonsAndRectangles) {
+  int checked = 0;
+  // Regular n-gons around a center node.
+  for (const int n : {4, 6, 8, 12}) {
+    std::vector<Point2> pts{{0, 0}};
+    for (int i = 0; i < n; ++i) {
+      const double a = 2.0 * std::numbers::pi * i / n;
+      pts.push_back({100.0 * std::cos(a), 100.0 * std::sin(a)});
+    }
+    for (const double r : {80.0, 150.0, 210.0}) {
+      checked += checkWitnessSubsetsKeepStar(pts, r);
+    }
+  }
+  // Concentric axis-aligned rectangles: each corner quadruple is exactly
+  // co-circular in floating point, and so is each rectangle's mirror pair.
+  std::vector<Point2> rects;
+  for (const auto& [a, b] : std::vector<std::pair<double, double>>{
+           {40, 20}, {60, 45}, {90, 30}, {120, 80}}) {
+    for (const double sx : {-1.0, 1.0}) {
+      for (const double sy : {-1.0, 1.0}) rects.push_back({sx * a, sy * b});
+    }
+  }
+  for (const double r : {70.0, 110.0, 170.0}) {
+    checked += checkWitnessSubsetsKeepStar(rects, r);
+  }
+  EXPECT_GT(checked, 100);
+}
+
+TEST(LocalSpannerSubsetStability, DuplicatePositions) {
+  // Distinct node ids sharing a position: the builder merges them onto the
+  // first occurrence, in S and in every subset alike.
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    auto pts = randomPoints(seed * 29, 30, 400, 400);
+    glr::sim::Rng rng{seed};
+    for (int i = 0; i < 10; ++i) {
+      const auto src = static_cast<std::size_t>(std::floor(rng.uniform(0, 30)));
+      pts.push_back(pts[src]);
+    }
+    for (const double r : {120.0, 200.0}) {
+      checked += checkWitnessSubsetsKeepStar(pts, r);
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 }  // namespace
